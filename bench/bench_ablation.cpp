@@ -1,7 +1,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Ablation studies for design choices called out in DESIGN.md:
+/// Ablation studies for three design choices:
 ///
 ///  1. Word width: the paper argues (Appendix A) that bit width
 ///     contributes an orthogonal multiplicative factor; sweeping the

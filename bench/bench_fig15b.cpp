@@ -9,7 +9,7 @@
 /// constants via rotation merging), while optimizers that cancel at the
 /// Toffoli level first recover linear T (Feynman -mctExpand, QuiZX).
 /// Each third-party system is represented by the in-repo implementation
-/// of its core technique (DESIGN.md section 2).
+/// of its core technique (driver::CircuitOptimizerKind names the mapping).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -490,6 +490,19 @@ size_t ParityResult::count(Cleanness C) const {
   return N;
 }
 
+ObligationSummary summarizeObligations(const CleanSpec &Spec,
+                                       const ParityResult &PR) {
+  ObligationSummary S;
+  for (size_t Q = 0; Q != Spec.RequireClean.size(); ++Q) {
+    if (!Spec.RequireClean[Q])
+      continue;
+    ++S.Obligated;
+    S.ProvedClean +=
+        Q < PR.WireExit.size() && PR.WireExit[Q] == Cleanness::Clean;
+  }
+  return S;
+}
+
 namespace {
 
 /// The GF(2) affine-parity domain over a circuit's wires. Each wire's

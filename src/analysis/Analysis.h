@@ -185,6 +185,16 @@ struct ParityResult {
 /// O(gates * wires/64) bitset work; linear in practice.
 ParityResult analyzeParity(const circuit::Circuit &C, const CleanSpec &Spec);
 
+/// The ancilla obligations of one parity analysis: the wires `Spec`
+/// requires to return to |0>, and how many of them exit provably Clean.
+/// Unknown wires are not proved; they and Dirty ones make up the rest.
+struct ObligationSummary {
+  size_t Obligated = 0;
+  size_t ProvedClean = 0;
+};
+ObligationSummary summarizeObligations(const CleanSpec &Spec,
+                                       const ParityResult &PR);
+
 } // namespace spire::analysis
 
 #endif // SPIRE_ANALYSIS_ANALYSIS_H

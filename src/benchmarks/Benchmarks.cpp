@@ -99,7 +99,7 @@ fun find_pos[n](xs: ptr<list>, v: uint, idx: uint) {
 /// Removes the first node whose value equals v, returning the new head.
 /// The unlinked cell is left zeroed; the traversal temporaries (head,
 /// next, matches, rest) are leaked rather than branch-locally uncomputed
-/// (Tower's allocator would reclaim the cell; see DESIGN.md section 2).
+/// (Tower's allocator would reclaim the cell; see Benchmarks.h).
 const char *RemoveSource = R"(
 type list = (uint, ptr<list>);
 fun remove[n](xs: ptr<list>, v: uint) -> ptr<list> {

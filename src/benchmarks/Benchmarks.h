@@ -11,11 +11,11 @@
 ///   String: is_prefix, num_matching, compare   (strings = char lists)
 ///   Set:    insert, contains                   (radix tree over strings)
 ///
-/// Differences from the (unpublished) originals are documented inline and
-/// in DESIGN.md §2: memory allocation uses lowering's static reversible
-/// allocator, and a few branch-local temporaries are deliberately leaked
-/// (left live) instead of branch-locally uncomputed; neither changes the
-/// MCX- or T-complexity orders that Table 1 reports.
+/// Differences from the (unpublished) originals are documented here and
+/// beside each program's source: memory allocation uses lowering's
+/// static reversible allocator, and a few branch-local temporaries are
+/// deliberately leaked (left live) instead of branch-locally uncomputed;
+/// neither changes the MCX- or T-complexity orders that Table 1 reports.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -5,7 +5,7 @@
 /// into the qRAM machine state used by the interpreter, the circuit
 /// simulator, and the benchmark harness.
 ///
-/// Heap convention (see DESIGN.md): input data structures occupy cells
+/// Heap convention: input data structures occupy cells
 /// from address 1 upward; the static allocator hands out cells from the
 /// top of the heap downward, so tests must keep the two regions disjoint.
 ///

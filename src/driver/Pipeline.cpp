@@ -14,9 +14,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <exception>
-#include <fstream>
 #include <new>
-#include <sstream>
 #include <type_traits>
 #include <utility>
 
@@ -75,14 +73,12 @@ bool verifyCircuitArtifact(const circuit::Circuit &C,
     // stage wrapper attach the single resource-limit diagnostic.
     if (auto *G = support::Governor::current(); G && G->exceeded())
       return false;
-    int64_t Obligations = 0;
-    for (bool Req : Spec.RequireClean)
-      Obligations += Req;
-    int64_t Unproved = static_cast<int64_t>(PR.Report.Violations.size());
+    analysis::ObligationSummary O = analysis::summarizeObligations(Spec, PR);
     auto &Reg = obs::Registry::global();
-    Reg.counter("analysis.parity.obligations") += Obligations;
+    Reg.counter("analysis.parity.obligations") +=
+        static_cast<int64_t>(O.Obligated);
     Reg.counter("analysis.parity.proved_clean") +=
-        Obligations > Unproved ? Obligations - Unproved : 0;
+        static_cast<int64_t>(O.ProvedClean);
     V.merge(std::move(PR.Report));
   }
   recordVerifyMetrics(V);
@@ -333,9 +329,9 @@ bool runStage(CompilationResult &R, Stage S, Fn &&Body) {
 
 CompilationResult CompilationPipeline::run(std::string_view Source) const {
   CompilationResult R;
-  // Arm a governor for this run's budgets unless the caller (spirec, the
-  // batch driver) already installed one covering a wider scope — nested
-  // compiles share the outermost token.
+  // Arm a governor for this run's budgets unless the caller (spirec,
+  // driver::Service) already installed one covering a wider scope —
+  // nested compiles share the outermost token.
   support::Governor RunGov(Options.Limits);
   support::GovernorScope GovScope(support::Governor::current() ? nullptr
                                                                : &RunGov);
@@ -626,31 +622,17 @@ std::string renderMetricsJson(const CompilationResult &R) {
   if (R.QoptStats) {
     W.key("qopt_stats");
     W.beginObject();
-    W.kv("cancelled_pairs", R.QoptStats->CancelledPairs.value());
-    W.kv("cancel_passes", R.QoptStats->CancelPasses.value());
-    W.kv("worklist_visits", R.QoptStats->WorklistVisits.value());
-    W.kv("merged_rotations", R.QoptStats->MergedRotations.value());
-    W.kv("emitted_rotations", R.QoptStats->EmittedRotations.value());
+    W.kv("cancelled_pairs", R.QoptStats->CancelledPairs);
+    W.kv("cancel_passes", R.QoptStats->CancelPasses);
+    W.kv("worklist_visits", R.QoptStats->WorklistVisits);
+    W.kv("merged_rotations", R.QoptStats->MergedRotations);
+    W.kv("emitted_rotations", R.QoptStats->EmittedRotations);
     W.endObject();
   }
   W.key("metrics");
   obs::writeMetricsObject(W, obs::Registry::global().snapshot());
   W.endObject();
   return W.take();
-}
-
-CompilationResult CompilationPipeline::runFile(const std::string &Path) const {
-  std::ifstream In(Path);
-  if (!In) {
-    CompilationResult R;
-    R.Diags.error("cannot read " + Path);
-    R.Stages.push_back({Stage::Parse, 0});
-    R.Failed = Stage::Parse;
-    return R;
-  }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  return run(Buffer.str());
 }
 
 } // namespace spire::driver

@@ -67,8 +67,8 @@ const char *stageName(Stage S);
 enum class CircuitLevel { MCX, Toffoli, CliffordT };
 
 /// The circuit-optimizer baselines of Section 8.3, keyed by the system
-/// each one stands in for (see DESIGN.md section 2). `None` leaves the
-/// qopt stage idle.
+/// each one stands in for (named beside each enumerator). `None` leaves
+/// the qopt stage idle.
 enum class CircuitOptimizerKind {
   None,
   Peephole,         ///< Qiskit / Pytket-peephole analogue (Clifford+T).
@@ -162,9 +162,10 @@ struct PipelineOptions {
   /// budget, gate/output caps; all 0 = unlimited). When any is set the
   /// pipeline arms a support::Governor for the run — unless the caller
   /// already installed one covering a larger scope (spirec arms one per
-  /// invocation / per batch entry) — and every worklist checkpoint
-  /// polls it. A tripped budget fails the current stage with a single
-  /// `resource-limit` diagnostic and records CompilationResult::LimitHit.
+  /// single-input invocation, driver::Service one per request) — and
+  /// every worklist checkpoint polls it. A tripped budget fails the
+  /// current stage with a single `resource-limit` diagnostic and records
+  /// CompilationResult::LimitHit.
   support::GovernorLimits Limits;
 
   /// Last stage to execute; later stages are skipped entirely. Lets
@@ -302,10 +303,6 @@ public:
   /// Runs the staged pipeline over Tower source text — or over circuit
   /// text when Options.Input is InputKind::Circuit.
   CompilationResult run(std::string_view Source) const;
-
-  /// Reads `Path` and runs the pipeline over its contents. A missing or
-  /// unreadable file fails the parse stage with a diagnostic.
-  CompilationResult runFile(const std::string &Path) const;
 
   /// Renders the run's final circuit in Options.OutputFormat. The wire
   /// layout is attached only when the final circuit *is* the compiled

@@ -4,7 +4,7 @@
 #include "obs/Trace.h"
 #include "support/ArtifactCache.h"
 
-#include <chrono>
+#include <new>
 
 namespace spire::driver {
 
@@ -53,78 +53,83 @@ CacheKey cacheKeyFor(const PipelineOptions &Options,
   return Key;
 }
 
+namespace {
+
+std::string firstLine(const std::string &Text) {
+  return Text.substr(0, Text.find('\n'));
+}
+
+} // namespace
+
 ServiceResponse Service::handle(const ServiceRequest &Request) {
   obs::Span Sp("service/request");
   ++obs::Registry::global().counter("service.requests");
-  auto Start = std::chrono::steady_clock::now();
-  auto finish = [&Start](ServiceResponse &Resp) -> ServiceResponse & {
-    Resp.Seconds = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - Start)
-                       .count();
-    return Resp;
-  };
-
   ServiceResponse Resp;
-  CacheKey Key;
-  if (Cache) {
-    Key = cacheKeyFor(Request.Pipe, Request.Source);
-    if (std::optional<std::string> Hit = Cache->lookup(Key.Hi, Key.Lo)) {
-      Resp.OK = true;
-      Resp.CacheHit = true;
-      Resp.Artifact = std::move(*Hit);
-      Sp.arg("cache_hit", 1);
-      return finish(Resp);
-    }
-  }
+  CompilationResult &R = Resp.Result;
 
-  // A fresh budget per request: one runaway request trips its own
-  // governor, the next starts with full budgets again. The catch wall
-  // keeps OOM and internal errors inside this request.
-  support::Governor Gov(Request.Pipe.Limits);
-  support::GovernorScope Scope(&Gov);
+  // Take over the caller's governor when one is installed; otherwise arm
+  // a fresh budget, so one runaway request trips its own governor and
+  // the next starts with full budgets again. It is armed before the
+  // cache lookup because a hit is charged against the output cap, like
+  // a compile's render. The catch wall keeps OOM and internal errors
+  // inside this request.
+  support::Governor Own(Request.Pipe.Limits);
+  support::GovernorScope Scope(support::Governor::current() ? nullptr
+                                                            : &Own);
+  support::Governor *Gov = support::Governor::current();
   try {
-    CompilationPipeline Pipeline(Request.Pipe);
-    CompilationResult R = Pipeline.run(Request.Source);
-    if (Gov.exceeded() && !R.LimitHit)
-      R.LimitHit = Gov.limit();
-    if (R.succeeded() && !R.LimitHit) {
-      Resp.Artifact = Pipeline.renderFinalCircuit(R);
-      // The writers stop growing the text when the output cap trips;
-      // never serve (or cache) the truncated artifact.
-      if (Gov.exceeded()) {
-        R.LimitHit = Gov.limit();
-      } else {
-        Resp.OK = true;
-        if (Cache && !Resp.Artifact.empty())
-          Cache->store(Key.Hi, Key.Lo, Resp.Artifact);
+    CacheKey Key;
+    if (Cache) {
+      Key = cacheKeyFor(Request.Pipe, Request.Source);
+      if (std::optional<std::string> Hit = Cache->lookup(Key.Hi, Key.Lo)) {
+        Resp.CacheHit = true;
+        Resp.Artifact = std::move(*Hit);
+        Sp.arg("cache_hit", 1);
+        if (Gov)
+          Gov->checkOutputBytes(static_cast<int64_t>(Resp.Artifact.size()));
       }
     }
+    if (!Resp.CacheHit) {
+      CompilationPipeline Pipeline(Request.Pipe);
+      R = Pipeline.run(Request.Source);
+      if (R.succeeded())
+        Resp.Artifact = Pipeline.renderFinalCircuit(R);
+    }
+    // The writers stop growing the text when the output cap trips; never
+    // serve (or cache) the truncated artifact.
+    if (Gov && Gov->exceeded() && !R.LimitHit)
+      R.LimitHit = Gov->limit();
+    Resp.OK = R.succeeded() && !R.LimitHit;
+    // Stored before the caller writes the artifact, so a crash during
+    // that write still leaves the next run a warm entry. The cache
+    // absorbs its own store failures.
+    if (Resp.OK && !Resp.CacheHit && Cache && !Resp.Artifact.empty())
+      Cache->store(Key.Hi, Key.Lo, Resp.Artifact);
+
     if (R.LimitHit) {
-      Resp.LimitHit = R.LimitHit;
+      // Empty when a stage checkpoint already reported the trip.
       support::DiagnosticEngine GovDiags;
-      Gov.report(GovDiags);
-      std::string Report = GovDiags.str();
-      size_t NL = Report.find('\n');
-      Resp.Error = NL == std::string::npos ? Report : Report.substr(0, NL);
+      Gov->report(GovDiags);
+      Resp.Error = firstLine(GovDiags.str());
       if (Resp.Error.empty())
         Resp.Error = std::string("resource limit: ") +
                      support::resourceLimitName(*R.LimitHit);
     } else if (!Resp.OK) {
-      std::string Diags = R.Diags.str();
-      size_t NL = Diags.find('\n');
-      Resp.Error = NL == std::string::npos ? Diags : Diags.substr(0, NL);
+      Resp.Error = firstLine(R.Diags.str());
       if (Resp.Error.empty())
         Resp.Error = "compilation failed";
     }
   } catch (const std::bad_alloc &) {
+    Resp.OK = false;
     Resp.Error = "out of memory";
   } catch (const std::exception &E) {
+    Resp.OK = false;
     Resp.Error = std::string("internal error: ") + E.what();
   }
   if (!Resp.OK)
     ++obs::Registry::global().counter("service.failures");
   Sp.arg("ok", Resp.OK ? 1 : 0);
-  return finish(Resp);
+  return Resp;
 }
 
 } // namespace spire::driver

@@ -1,20 +1,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The compile service: one request-in, artifact-out entry point shared
-/// by `spirec --batch` and `spirec --serve`, layered over
-/// CompilationPipeline with the two properties a long-lived process
-/// needs:
+/// The compile service: the one request-in, artifact-out entry point
+/// behind every spirec run that writes an artifact (single-input emits,
+/// `--batch` and `--serve`) and perfbench's compile-emit and circuit-in
+/// workloads, layered over CompilationPipeline with the two properties a
+/// long-lived process needs:
 ///
-///   * Request isolation — every request runs under its own fresh
-///     support::Governor and a catch wall, so a poisoned request (OOM,
-///     internal error, tripped budget, injected fault) fails *that
-///     request* and never the process.
+///   * Request isolation — every request runs under a governor and a
+///     catch wall, so a poisoned request (OOM, internal error, tripped
+///     budget, injected fault) fails *that request* and never the
+///     process. A request takes over the governor its caller installed
+///     (spirec's single-input run polices the whole invocation);
+///     otherwise it arms a fresh one, so each batch or serve request
+///     starts with full budgets.
 ///   * Artifact caching — when constructed over a support::ArtifactCache
 ///     the service keys each request by cacheKeyFor() and serves
 ///     verified hits without compiling; misses compile and store. Cache
 ///     damage of any kind degrades to a recompute, never to a wrong or
-///     failed answer (the cache's own contract).
+///     failed answer (the cache's own contract). A hit is policed like
+///     a compile: it is charged against the output cap.
 ///
 /// The cache key hashes the input bytes together with every
 /// PipelineOptions field that can change the emitted artifact
@@ -29,7 +34,6 @@
 #include "driver/Pipeline.h"
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -72,9 +76,10 @@ struct ServiceResponse {
   std::string Artifact;
   /// First error line when not OK.
   std::string Error;
-  /// Set when the request tripped its resource budget.
-  std::optional<support::ResourceLimit> LimitHit;
-  double Seconds = 0;
+  /// The pipeline run behind the artifact: stages, diagnostics, and
+  /// LimitHit when the request tripped its resource budget. Empty on a
+  /// cache hit, apart from LimitHit when the hit tripped the output cap.
+  CompilationResult Result;
 };
 
 class Service {
@@ -83,10 +88,11 @@ public:
   explicit Service(support::ArtifactCache *Cache = nullptr)
       : Cache(Cache) {}
 
-  /// Handles one request end to end: cache lookup, compile on miss
-  /// under a fresh governor + catch wall, render, store. Never throws;
-  /// every failure mode lands in the response. Counters:
-  /// service.requests / service.failures; span: service/request.
+  /// Handles one request end to end under a governor and a catch wall:
+  /// cache lookup, compile and render on a miss, output-cap charge,
+  /// store. Never throws; every failure mode lands in the response.
+  /// Counters: service.requests / service.failures; span:
+  /// service/request.
   ServiceResponse handle(const ServiceRequest &Request);
 
 private:

@@ -71,8 +71,8 @@ struct Atom {
   /// Marks a statically assigned heap-cell address produced by `alloc<T>`
   /// lowering. The backend writes such constants with a popcount-uniform
   /// gate pattern so that per-recursion-level gate counts stay exactly
-  /// equal (mirroring the uniform cost of Tower's runtime allocator; see
-  /// DESIGN.md section 2).
+  /// equal (mirroring the uniform cost of Tower's runtime allocator, which
+  /// the static allocator replaces; see `alloc<T>` in docs/language.md).
   bool IsAllocConst = false;
 
   bool isVar() const { return K == Kind::Var; }

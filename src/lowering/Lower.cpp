@@ -446,7 +446,8 @@ bool Lowerer::lowerConstant(const Expr &E, Atom &Out) {
     return true;
   case Expr::Kind::AllocCell: {
     // Static allocation: cells from the top of the heap downward (input
-    // data structures conventionally occupy low cells; see DESIGN.md).
+    // data structures occupy low cells; see the heap convention in
+    // benchmarks/Workloads.h).
     if (AllocCells >= Opts.HeapCells) {
       Diags.error(E.Loc, "static allocator exhausted the heap (" +
                              std::to_string(Opts.HeapCells) + " cells)");

@@ -22,8 +22,8 @@
 ///  * Memory allocation: `alloc<T>` sites are assigned distinct static
 ///    heap cells from the top of the heap downward. This substitutes
 ///    Tower's dynamic Boson allocator with a reversible static allocator
-///    (see DESIGN.md §2); allocation costs O(1) MCX gates, preserving the
-///    asymptotics the paper studies.
+///    (see `alloc<T>` in docs/language.md); allocation costs O(1) MCX
+///    gates, preserving the asymptotics the paper studies.
 ///
 /// Inlining runs on an explicit worklist of heap-allocated frames rather
 /// than C++ recursion, so recursion depth is limited only by

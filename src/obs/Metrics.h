@@ -1,12 +1,12 @@
 //===----------------------------------------------------------------------===//
 // Process-wide metrics registry: named counters, gauges, and histograms
-// behind lightweight handles, updated with relaxed atomics so the coming
-// thread-pool work (ROADMAP items 2 and 4) can bump them from any thread
-// without locks. This absorbs the previously fragmented self-measurement —
-// qopt::OptStats, AllocStats samples, the cost-model profile cache,
-// bit-sliced simulator throughput, verifier obligation counts, and
-// DiagnosticEngine totals all surface here — and feeds one machine-readable
-// dump (`spirec --metrics-json`, docs/observability.md has the catalog).
+// behind lightweight handles, updated with relaxed atomics so any thread
+// can bump them without locks. This absorbs the previously fragmented
+// self-measurement — qopt::OptStats, AllocStats samples, the cost-model
+// profile cache, bit-sliced simulator throughput, verifier obligation
+// counts, and DiagnosticEngine totals all surface here — and feeds one
+// machine-readable dump (`spirec --metrics-json`, docs/observability.md
+// has the catalog).
 //
 // Cost model: handle lookup (`Registry::counter(...)`) takes a mutex and
 // should be hoisted out of hot loops; updates through a handle are a single
@@ -31,36 +31,6 @@ namespace spire {
 namespace obs {
 
 class JsonWriter;
-
-/// A relaxed atomic int64 cell that stays copyable so it can live inside
-/// value-semantic stats structs (qopt::OptStats is copied into
-/// CompilationResult). Copies snapshot the value; concurrent increments on
-/// the *same* cell are race-free, which is the thread-safety OptStats
-/// needs for sharded passes.
-class AtomicCounter {
-public:
-  AtomicCounter(int64_t Init = 0) : V(Init) {} // NOLINT: implicit by design
-  AtomicCounter(const AtomicCounter &O) : V(O.value()) {}
-  AtomicCounter &operator=(const AtomicCounter &O) {
-    V.store(O.value(), std::memory_order_relaxed);
-    return *this;
-  }
-  AtomicCounter &operator=(int64_t N) {
-    V.store(N, std::memory_order_relaxed);
-    return *this;
-  }
-  AtomicCounter &operator+=(int64_t N) {
-    V.fetch_add(N, std::memory_order_relaxed);
-    return *this;
-  }
-  AtomicCounter &operator-=(int64_t N) { return *this += -N; }
-  AtomicCounter &operator++() { return *this += 1; }
-  int64_t value() const { return V.load(std::memory_order_relaxed); }
-  operator int64_t() const { return value(); } // NOLINT: implicit by design
-
-private:
-  std::atomic<int64_t> V;
-};
 
 enum class MetricKind : uint8_t { Counter, Gauge, Histogram };
 

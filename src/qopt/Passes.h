@@ -2,7 +2,8 @@
 ///
 /// \file
 /// Circuit-optimizer baselines standing in for the third-party optimizers
-/// of the paper's Section 8.3 (see DESIGN.md §2 for the mapping):
+/// of the paper's Section 8.3 (driver::CircuitOptimizerKind names the
+/// system behind each configuration):
 ///
 ///  * cancelAdjacentGates — commutation-aware cancellation of adjacent
 ///    inverse gate pairs. Run at the MCX/Toffoli level it captures the
@@ -36,7 +37,6 @@
 #define SPIRE_QOPT_PASSES_H
 
 #include "circuit/Gate.h"
-#include "obs/Metrics.h"
 
 #include <cstdint>
 
@@ -46,17 +46,12 @@ namespace spire::qopt {
 /// OptStats is threaded through a whole optimizer configuration. The
 /// driver surfaces these next to the qopt stage's wall-clock timing and
 /// publishes them as `qopt.*` registry metrics.
-///
-/// The fields are relaxed atomics (obs::AtomicCounter) so one OptStats
-/// can be shared by sharded pass runs on the coming thread pool (ROADMAP
-/// item 4) without a merge step; the hot loops accumulate plain locals
-/// and flush once per pass, so single-threaded cost is unchanged.
 struct OptStats {
-  obs::AtomicCounter CancelledPairs;   ///< Inverse pairs removed by cancellation.
-  obs::AtomicCounter CancelPasses;     ///< Full fixpoint passes (last finds nothing).
-  obs::AtomicCounter WorklistVisits;   ///< Gates popped off the cancel worklist.
-  obs::AtomicCounter MergedRotations;  ///< Phase gates absorbed by folding.
-  obs::AtomicCounter EmittedRotations; ///< Phase gates re-emitted after folding.
+  int64_t CancelledPairs = 0;   ///< Inverse pairs removed by cancellation.
+  int64_t CancelPasses = 0;     ///< Full fixpoint passes (last finds nothing).
+  int64_t WorklistVisits = 0;   ///< Gates popped off the cancel worklist.
+  int64_t MergedRotations = 0;  ///< Phase gates absorbed by folding.
+  int64_t EmittedRotations = 0; ///< Phase gates re-emitted after folding.
 };
 
 struct CancelOptions {

@@ -11,6 +11,7 @@
 #include "circuit/Netlist.h"
 #include "decompose/Decompose.h"
 #include "driver/Pipeline.h"
+#include "obs/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -420,17 +421,45 @@ TEST(VerifyPipeline, BenchmarkAncillaObligationsAreProvedOrUnknown) {
     CleanSpec Spec = CleanSpec::forLayout(R.Compiled->Layout, C.NumQubits);
     ParityResult PR = analyzeParity(C, Spec);
     EXPECT_TRUE(PR.Report.ok()) << B.Name << ":\n" << PR.Report.str();
-    size_t Obligations = 0, Proved = 0;
-    for (unsigned Q = 0; Q != C.NumQubits; ++Q) {
-      if (!Spec.RequireClean[Q])
-        continue;
-      ++Obligations;
-      Proved += PR.WireExit[Q] == Cleanness::Clean;
-    }
+    ObligationSummary O = summarizeObligations(Spec, PR);
     if (PR.fullyAffine()) {
-      EXPECT_EQ(Proved, Obligations) << B.Name;
+      EXPECT_EQ(O.ProvedClean, O.Obligated) << B.Name;
     }
   }
+}
+
+TEST(VerifyPipeline, ProvedCleanMetricCountsOnlyCleanWires) {
+  // Fig. 1 `length` leaves most ancilla obligations Unknown (past the
+  // affine fragment). The --verify-each metric must count the wires
+  // proved Clean, not every obligation without a Dirty violation.
+  driver::PipelineOptions Opts;
+  Opts.BuildCircuit = true;
+  Opts.AnalyzeCost = false;
+  Opts.VerifyEach = true;
+  obs::Registry &Reg = obs::Registry::global();
+  int64_t ObligatedBefore = Reg.counter("analysis.parity.obligations").value();
+  int64_t ProvedBefore = Reg.counter("analysis.parity.proved_clean").value();
+  driver::CompilationResult R =
+      benchmarks::runPipelineOrDie(benchmarks::lengthBenchmark(), 3, Opts);
+
+  const Circuit &C = R.Compiled->Circ;
+  CleanSpec Spec = CleanSpec::forLayout(R.Compiled->Layout, C.NumQubits);
+  ParityResult PR = analyzeParity(C, Spec);
+  int64_t Obligated = 0, Clean = 0, Unknown = 0;
+  for (unsigned Q = 0; Q != C.NumQubits; ++Q) {
+    if (!Spec.RequireClean[Q])
+      continue;
+    ++Obligated;
+    Clean += PR.WireExit[Q] == Cleanness::Clean;
+    Unknown += PR.WireExit[Q] == Cleanness::Unknown;
+  }
+  ASSERT_GT(Unknown, 0) << "the program must leave obligations Unknown";
+  EXPECT_EQ(Reg.counter("analysis.parity.obligations").value() -
+                ObligatedBefore,
+            Obligated);
+  EXPECT_EQ(Reg.counter("analysis.parity.proved_clean").value() -
+                ProvedBefore,
+            Clean);
 }
 
 TEST(VerifyPipeline, MutationMatrixEachBugCaughtByExactlyOneChecker) {

@@ -10,14 +10,17 @@
 //     the key; budget/verification knobs do not.
 //   - CLI level: cold-then-warm byte-identical emits with cache.hits
 //     accounting, poisoned caches recomputing (not failing), kill -9 at
-//     cache.write self-healing on the next run, warm --batch runs served
-//     from cache, --batch-retries absorbing transient faults, and the
-//     --serve loop (drain mode and FIFO) with per-request isolation.
+//     cache.write self-healing on the next run, cache hits charged
+//     against the output cap in single, batch and serve mode, warm
+//     --batch runs served from cache, --batch-retries absorbing transient
+//     faults, and the --serve loop (drain mode and FIFO) with per-request
+//     isolation.
 //
 // The spirec binary path arrives in the SPIREC environment variable, set
 // by CTest.
 //===----------------------------------------------------------------------===//
 
+#include "benchmarks/Benchmarks.h"
 #include "driver/Service.h"
 #include "support/ArtifactCache.h"
 #include "support/FaultInjector.h"
@@ -554,6 +557,48 @@ TEST(CacheCli, DegradesToUncachedWhenRetriesExhausted) {
   EXPECT_EQ(readWholeFile(Out + "d_out.qc"), readWholeFile(Out + "d_ref.qc"));
   EXPECT_GE(metricValue(readWholeFile(Out + "d.json"), "cache.io_errors"),
             1);
+}
+
+TEST(CacheCli, HitIsChargedAgainstOutputCapInEveryMode) {
+  ASSERT_FALSE(spirecPath().empty());
+  // Fig. 1 `length` at size 200 emits an 11 MB artifact: a warm entry
+  // that a 1 MiB output cap must refuse exactly as it refuses a compile.
+  std::string Tower = writeTempFile("cache_cap_length.tower",
+                                    benchmarks::lengthBenchmark().Source);
+  std::string Dir = freshCacheDir("cli_cap");
+  std::string Out = ::testing::TempDir();
+  std::string Compile = " --entry length --size 200 --cache-dir " + Dir;
+  ASSERT_EQ(runSpirec(Tower + " --emit qc -o /dev/null" + Compile).ExitCode,
+            0);
+  ASSERT_EQ(filesWithSuffix(Dir, ".art").size(), 1u);
+  std::string Capped = Compile + " --max-output-mb 1";
+
+  std::string Single = Out + "cap_single.qc";
+  std::remove(Single.c_str());
+  RunResult R = runSpirec(Tower + " --emit qc -o " + Single + Capped);
+  EXPECT_EQ(R.ExitCode, 2) << R.Output;
+  EXPECT_FALSE(fileExists(Single));
+
+  std::string List = writeTempFile("cache_cap_batch.txt", Tower + "\n");
+  RunResult B = runSpirec("--batch " + List + Capped + " --metrics-json " +
+                          Out + "cap_batch.json");
+  EXPECT_EQ(B.ExitCode, 1) << B.Output;
+  EXPECT_NE(B.Output.find("FAILED"), std::string::npos) << B.Output;
+  std::string Json = readWholeFile(Out + "cap_batch.json");
+  EXPECT_NE(Json.find("\"cached\": true"), std::string::npos) << Json;
+  EXPECT_NE(Json.find("\"limit_hit\": \"output-bytes\""), std::string::npos)
+      << Json;
+
+  std::string Served = Out + "cap_serve.qc";
+  std::remove(Served.c_str());
+  std::string Reqs = writeTempFile("cache_cap_serve.txt",
+                                   "compile " + Tower + " " + Served + "\n");
+  RunResult S = runSpirec("--serve " + Reqs + Capped + " --metrics-json " +
+                          Out + "cap_serve.json");
+  EXPECT_NE(S.Output.find("FAILED"), std::string::npos) << S.Output;
+  EXPECT_FALSE(fileExists(Served));
+  EXPECT_NE(readWholeFile(Out + "cap_serve.json").find("\"cached\": true"),
+            std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//

@@ -10,7 +10,6 @@
 #include "obs/Json.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
-#include "qopt/Passes.h"
 
 #include <gtest/gtest.h>
 
@@ -198,9 +197,9 @@ TEST(Registry, EmptyHistogramSnapshotsToZero) {
   EXPECT_DOUBLE_EQ(Snap[0].Max, 0.0);
 }
 
-/// The concurrency contract the ROADMAP's sharded-pass work relies on:
-/// increments from many threads — through shared and per-thread handles,
-/// with lookups racing updates — lose nothing. TSan runs this in CI.
+/// The registry's concurrency contract: increments from many threads —
+/// through shared and per-thread handles, with lookups racing updates —
+/// lose nothing. TSan runs this in CI.
 TEST(Registry, ConcurrentIncrementsAreExact) {
   obs::Registry R;
   constexpr int Threads = 8;
@@ -223,29 +222,6 @@ TEST(Registry, ConcurrentIncrementsAreExact) {
             int64_t(2) * Threads * PerThread);
   EXPECT_EQ(R.histogram("concurrent.hist").count(),
             int64_t(Threads) * PerThread);
-}
-
-TEST(OptStats, ConcurrentUpdatesAreExact) {
-  qopt::OptStats Stats;
-  constexpr int Threads = 8;
-  constexpr int PerThread = 20000;
-  std::vector<std::thread> Pool;
-  for (int T = 0; T != Threads; ++T)
-    Pool.emplace_back([&Stats] {
-      for (int I = 0; I != PerThread; ++I) {
-        Stats.CancelledPairs += 1;
-        ++Stats.WorklistVisits;
-      }
-    });
-  for (std::thread &T : Pool)
-    T.join();
-  EXPECT_EQ(Stats.CancelledPairs.value(), int64_t(Threads) * PerThread);
-  EXPECT_EQ(Stats.WorklistVisits.value(), int64_t(Threads) * PerThread);
-
-  // Copies snapshot values — OptStats stays a value type.
-  qopt::OptStats Copy = Stats;
-  Stats.CancelledPairs += 1;
-  EXPECT_EQ(Copy.CancelledPairs.value(), int64_t(Threads) * PerThread);
 }
 
 //===----------------------------------------------------------------------===//

@@ -176,17 +176,15 @@ TEST_P(QoptDifferential, CancelPlusFoldMatchesReferencePath) {
   // fixpoint must log at least as much cancellation work as the
   // reference fixpoint actually removed, from at least one pass, with
   // at least one worklist visit per cancelled pair. These pin the
-  // counters' meaning now that OptStats cells are relaxed atomics
-  // (obs::AtomicCounter) — a racy or dropped update would show up as a
-  // shortfall somewhere in the 100-seed sweep.
+  // counters' meaning: a dropped update would show up as a shortfall
+  // somewhere in the 100-seed sweep.
   EXPECT_GE(static_cast<size_t>(2 * Stats.CancelledPairs),
             C.Gates.size() - RefCancelled.Gates.size())
       << "seed " << Seed << ": worklist logged less cancellation work "
       << "than the reference pass achieved";
-  EXPECT_GE(Stats.CancelPasses.value(), 1) << "seed " << Seed;
-  EXPECT_GE(Stats.WorklistVisits.value(), Stats.CancelledPairs.value())
-      << "seed " << Seed;
-  EXPECT_GE(Stats.MergedRotations.value(), 0) << "seed " << Seed;
+  EXPECT_GE(Stats.CancelPasses, 1) << "seed " << Seed;
+  EXPECT_GE(Stats.WorklistVisits, Stats.CancelledPairs) << "seed " << Seed;
+  EXPECT_GE(Stats.MergedRotations, 0) << "seed " << Seed;
 }
 
 TEST_P(QoptDifferential, ExhaustiveCancelMatchesReferenceExactly) {

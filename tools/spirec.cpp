@@ -1,137 +1,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// spirec — command-line driver for the Spire/Tower compiler. A thin
-/// argument-parsing shell over driver::CompilationPipeline, the single
-/// compile-pipeline implementation shared with the examples and the
-/// benchmark harness.
-///
-/// Usage:
-///   spirec <file.tower> --entry <fun> [--size N] [options]
-///   spirec --qc-in <file.qc> | --qasm-in <file.qasm> [options]
-///   spirec --batch <list> [options]
-///   spirec --serve <fifo|file> [options]
-///
-/// Modes (combinable):
-///   --report              print the cost-model analysis (MCX- and
-///                         T-complexity) before and after optimization
-///   --emit <fmt>          write the compiled circuit; fmt is qc or qasm3
-///                         (legacy gate-level spellings mcx | toffoli |
-///                         cliffordt are still accepted and mean .qc at
-///                         that level)
-///   --basis <name>        legalize the circuit onto a gate basis before
-///                         emission: mcx | toffoli | cx
-///   -o <path>             output path for --emit (default: stdout)
-///   --check-equiv <file>  after the run, check the final circuit is
-///                         behaviorally equivalent to the circuit in
-///                         <file> (.qc or OpenQASM 3, auto-detected):
-///                         exhaustive over all 2^n basis states for
-///                         X-only circuits up to ~20 qubits (bit-sliced,
-///                         64 states per word), bit-sliced random
-///                         batches above that, sampled state-vector
-///                         simulation for non-classical circuits
-///   --run k=v,k=v         interpret the program on a machine state with
-///                         the given input registers and print the output
-///   --verify-each         run the static verifier (src/analysis) on every
-///                         stage artifact and fail on any violation; also
-///                         on by default when SPIRE_VERIFY_EACH is set
-///   --analyze             print the static-analysis lint summary for the
-///                         compiled circuit (wire cleanness at exit, dead
-///                         gates, affine coverage); violations exit 1
-///   --dump-ir             print the (optimized) core IR
-///   --timings             print per-stage wall-clock seconds, heap
-///                         allocation counts, peak-RSS growth, and the
-///                         cost-model cache / symbol-table counters to
-///                         stderr
-///   --trace-json <file>   record a Chrome trace-event timeline of the
-///                         whole invocation (pipeline stages, individual
-///                         qopt passes, legalization, equivalence-check
-///                         phases, lowerer inline batches — each span
-///                         carrying its work counters as args); open the
-///                         file in chrome://tracing or Perfetto
-///   --metrics-json <file> dump the run report + metrics registry as
-///                         JSON (schema spire-metrics-v1, a machine-
-///                         readable superset of --timings; see
-///                         docs/observability.md)
-///
-/// Options:
-///   --no-flatten          disable conditional flattening
-///   --no-narrow           disable conditional narrowing
-///   -O0                   disable all Spire optimizations
-///   --word-bits N         register width in qubits (default 8)
-///   --heap-cells N        qRAM size in cells (default 16)
-///   --max-inline-depth N      lowering's bound on call-inlining depth
-///                             (default 100000)
-///   --max-inline-instances N  lowering's bound on total inlined calls
-///                             (default 100000)
-///   --check-equiv-samples N   basis-state budget for --check-equiv's
-///                             sampled modes (default 32; ignored when
-///                             the sweep is exhaustive; above the
-///                             circuits' 2^qubits distinct states it
-///                             clamps to an exhaustive sweep, diagnosed
-///                             instead when the circuits are not
-///                             classical)
-///   --circuit-opt <name>  additionally run a circuit-optimizer baseline:
-///                         peephole | rotation | cliffordt-cancel |
-///                         toffoli-cancel | exhaustive
-///
-/// Resource governor (docs/robustness.md):
-///   --timeout-ms N        wall-clock budget for the whole invocation
-///   --max-alloc-mb N      heap-traffic budget (bytes requested from the
-///                         counting allocator, frees not subtracted)
-///   --max-gates N         cap on the size any circuit may reach
-///   --max-output-mb N     cap on an emitted artifact's size
-/// A tripped budget stops the compile cleanly with a `resource-limit`
-/// diagnostic and exit code 2; --metrics-json is still written with
-/// `succeeded: false` and a `limit_hit` field.
-///
-/// Batch mode:
-///   --batch <list>        compile every input named in <list> (one path
-///                         per line, `#` comments) in a single process
-///                         with per-input failure isolation; prints one
-///                         summary line per input and exits 0 only when
-///                         every input succeeded. Exclusive with a single
-///                         input and the emit/check/run modes; the shared
-///                         flags (--entry, --basis, --circuit-opt, the
-///                         governor budgets) apply to every input.
-///   --batch-retries N     retry a transiently-failed input (injected io
-///                         fault, tripped deadline — the budget doubles
-///                         for the retry) up to N times with exponential
-///                         backoff before counting it failed; the
-///                         spire-batch-v1 report records `attempts` per
-///                         input
-///
-/// Artifact cache (docs/service.md):
-///   --cache-dir <d>       persistent content-addressed artifact cache
-///                         (env SPIRE_CACHE_DIR): single-input emits and
-///                         batch/serve requests whose key (input bytes +
-///                         output-affecting options + format version)
-///                         has a verified entry skip compilation; misses
-///                         compile and store via atomic stage-and-rename.
-///                         Corrupt entries are quarantined and silently
-///                         recomputed; a sick cache degrades to uncached
-///                         operation, never a failed request.
-///   --cache-max-mb N      size cap; oldest-used entries are evicted
-///                         after each store
-///
-/// Serve mode:
-///   --serve <fifo|file>   long-lived request loop keeping the cache and
-///                         symbol table warm: reads one request per line
-///                         (`compile <input> <output> [entry [size]]`,
-///                         `#` comments, `shutdown`), compiles each under
-///                         a fresh governor + catch wall (one poisoned
-///                         request can never take the service down), and
-///                         answers on stdout. A FIFO is re-opened after
-///                         each writer hangs up until `shutdown`; a
-///                         regular file is drained once. Exit 0 on a
-///                         clean shutdown even when individual requests
-///                         failed — per-request outcomes live in the
-///                         response lines and the spire-batch-v1 report.
-///
-/// Exit status: 0 on success, 1 on a compile, runtime, equivalence, or
-/// batch error, 2 on a command-line error, an unwritable artifact, or a
-/// resource-limit trip (always with a diagnostic on stderr).
-/// docs/cli.md documents every flag and mode; keep the two in sync.
+/// spirec — the command-line driver for the Spire/Tower compiler. It
+/// parses flags, prints, and does the final writes; every run that writes
+/// an artifact (single-input emits, --batch entries, --serve requests)
+/// goes through driver::Service, and the other single-input runs call
+/// driver::CompilationPipeline directly. `spirec --help` lists every
+/// flag and mode, and docs/cli.md documents them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -155,6 +30,7 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <new>
@@ -187,7 +63,6 @@ struct Options {
   /// default silently adapts to small circuits instead.
   bool CheckEquivSamplesSet = false;
   std::optional<std::string> RunInputs;
-  std::string CircuitOpt;
   std::string TraceJsonPath;   ///< --trace-json output path.
   std::string MetricsJsonPath; ///< --metrics-json output path.
   std::string BatchPath;       ///< --batch input-list path.
@@ -307,10 +182,8 @@ const char UsageText[] =
 int64_t parseInt(const char *Text, const char *What) {
   char *End = nullptr;
   long long Value = std::strtoll(Text, &End, 10);
-  if (End == Text || *End != '\0') {
-    std::string Message = std::string("invalid integer for ") + What;
-    usageError(Message.c_str());
-  }
+  if (End == Text || *End != '\0')
+    usageError((std::string("invalid integer for ") + What).c_str());
   return Value;
 }
 
@@ -319,15 +192,12 @@ int64_t parseInt(const char *Text, const char *What) {
 /// it).
 int64_t parsePositiveInt(const char *Text, const char *What) {
   int64_t Value = parseInt(Text, What);
-  if (Value <= 0) {
-    std::string Message = std::string(What) + " must be positive";
-    usageError(Message.c_str());
-  }
+  if (Value <= 0)
+    usageError((std::string(What) + " must be positive").c_str());
   return Value;
 }
 
-std::optional<driver::CircuitOptimizerKind>
-circuitOptKind(const std::string &Name) {
+driver::CircuitOptimizerKind circuitOptKind(const std::string &Name) {
   using K = driver::CircuitOptimizerKind;
   if (Name == "peephole")
     return K::Peephole;
@@ -339,7 +209,7 @@ circuitOptKind(const std::string &Name) {
     return K::ToffoliCancel;
   if (Name == "exhaustive")
     return K::ExhaustiveCancel;
-  return std::nullopt;
+  usageError("unknown --circuit-opt name");
 }
 
 /// Applies one --emit spelling: a format (qc | qasm3) or a legacy gate
@@ -380,7 +250,7 @@ void applyEmitSpec(const std::string &Spec, bool CircuitIn, bool HasBasis,
 
 Options parseArgs(int Argc, char **Argv) {
   Options Opts;
-  std::string QcInPath, QasmInPath, EmitSpec, BasisName;
+  std::string QcInPath, QasmInPath, EmitSpec, BasisName, CircuitOpt;
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     auto next = [&](const char *What) -> const char * {
@@ -446,7 +316,7 @@ Options parseArgs(int Argc, char **Argv) {
       Opts.Pipeline.MaxInlineInstances = static_cast<unsigned>(parseInt(
           next("--max-inline-instances"), "--max-inline-instances"));
     else if (Arg == "--circuit-opt")
-      Opts.CircuitOpt = next("--circuit-opt");
+      CircuitOpt = next("--circuit-opt");
     else if (Arg == "--trace-json")
       Opts.TraceJsonPath = next("--trace-json");
     else if (Arg == "--metrics-json")
@@ -500,32 +370,23 @@ Options parseArgs(int Argc, char **Argv) {
     usageError("--cache-max-mb needs --cache-dir (or SPIRE_CACHE_DIR)");
   if (Opts.BatchRetries > 0 && Opts.BatchPath.empty())
     usageError("--batch-retries needs --batch");
-  if (!Opts.ServePath.empty()) {
-    // Serve mode owns the process: requests bring their own inputs and
-    // outputs, so every single-input mode is meaningless here.
-    if (!Opts.BatchPath.empty())
+  if (!Opts.ServePath.empty() || !Opts.BatchPath.empty()) {
+    // Batch and serve requests bring their own inputs and share only the
+    // compile configuration (--entry, --basis, --circuit-opt, the
+    // governor budgets): nothing sensible interleaves N circuits on one
+    // stdout or compares them against one reference.
+    std::string Mode = Opts.ServePath.empty() ? "--batch" : "--serve";
+    if (!Opts.ServePath.empty() && !Opts.BatchPath.empty())
       usageError("--serve is exclusive with --batch");
     if (!Opts.InputPath.empty() || !QcInPath.empty() || !QasmInPath.empty())
-      usageError("--serve is exclusive with a single input");
+      usageError((Mode + " is exclusive with a single input").c_str());
     if (!EmitSpec.empty() || !Opts.OutputPath.empty() ||
         !Opts.CheckEquivPath.empty() || Opts.RunInputs || Opts.Report ||
         Opts.DumpIR || Opts.Analyze)
-      usageError("--serve supports only the shared compile flags, not "
-                 "--emit/-o/--check-equiv/--run/--report/--dump-ir/"
-                 "--analyze");
-  } else if (!Opts.BatchPath.empty()) {
-    // Batch mode shares the compile configuration (--entry, --basis,
-    // --circuit-opt, the governor budgets) across inputs but has no
-    // single-input modes: nothing sensible interleaves N circuits on
-    // one stdout or compares them against one reference.
-    if (!Opts.InputPath.empty() || !QcInPath.empty() || !QasmInPath.empty())
-      usageError("--batch is exclusive with a single input");
-    if (!EmitSpec.empty() || !Opts.OutputPath.empty() ||
-        !Opts.CheckEquivPath.empty() || Opts.RunInputs || Opts.Report ||
-        Opts.DumpIR || Opts.Analyze)
-      usageError("--batch supports only the shared compile flags, not "
-                 "--emit/-o/--check-equiv/--run/--report/--dump-ir/"
-                 "--analyze");
+      usageError((Mode + " supports only the shared compile flags, not "
+                         "--emit/-o/--check-equiv/--run/--report/--dump-ir/"
+                         "--analyze")
+                     .c_str());
   } else if (!QcInPath.empty() || !QasmInPath.empty()) {
     if (!Opts.InputPath.empty() || !Opts.Pipeline.Entry.empty())
       usageError("circuit-in mode (--qc-in / --qasm-in) is exclusive "
@@ -560,8 +421,8 @@ Options parseArgs(int Argc, char **Argv) {
       usageError("--basis must be mcx, toffoli, or cx");
     Opts.Pipeline.Basis = *B;
   }
-  if (!Opts.CircuitOpt.empty() && !circuitOptKind(Opts.CircuitOpt))
-    usageError("unknown --circuit-opt name");
+  if (!CircuitOpt.empty())
+    Opts.Pipeline.CircuitOpt = circuitOptKind(CircuitOpt);
 
   // Emission happens in circuit-in mode, under --emit, or when --basis
   // asked for a legalized circuit (default format: qc). Batch and serve
@@ -728,34 +589,24 @@ int runCompilerModes(Options &Opts, driver::CompilationResult &R,
   Pipe.AnalyzeCost = Opts.Report; // Rejected in circuit-in mode above.
   Pipe.BuildCircuit =
       Opts.WantEmit || !Opts.CheckEquivPath.empty() || Opts.Analyze;
-  if (!Opts.CircuitOpt.empty())
-    Pipe.CircuitOpt = *circuitOptKind(Opts.CircuitOpt);
 
-  // -- Artifact cache: only a pure emit run is cacheable. Every other
-  // mode wants byproducts of the compile itself (IR, costs, lints,
-  // interpreter runs), which a cached artifact cannot provide.
-  const bool CacheEligible =
-      Cache && Opts.WantEmit && !Opts.Report && !Opts.DumpIR &&
-      !Opts.Analyze && !Opts.RunInputs && Opts.CheckEquivPath.empty();
-  driver::CacheKey Key;
-  if (CacheEligible) {
-    Key = driver::cacheKeyFor(Pipe, Source);
-    if (std::optional<std::string> Hit = Cache->lookup(Key.Hi, Key.Lo)) {
-      // Served from cache: charge the output cap (the compile never ran,
-      // so nothing else charged it) and emit.
-      if (auto *G = support::Governor::current();
-          G && !G->checkOutputBytes(static_cast<int64_t>(Hit->size()))) {
-        R.LimitHit = G->limit();
-        return 2;
-      }
-      writeOutput(Opts, *Hit);
-      return 0;
-    }
+  // Runs that emit go through the service; the others run the pipeline
+  // alone, since a render nobody asked for could trip --max-output-mb.
+  // Only a pure emit run may use the cache: every other mode wants
+  // byproducts of the compile itself (IR, costs, lints, interpreter
+  // runs), which a cached artifact cannot provide.
+  driver::ServiceResponse Resp;
+  if (Opts.WantEmit) {
+    bool CacheEligible = !Opts.Report && !Opts.DumpIR && !Opts.Analyze &&
+                         !Opts.RunInputs && Opts.CheckEquivPath.empty();
+    driver::Service Svc(CacheEligible ? Cache : nullptr);
+    Resp = Svc.handle({Pipe, std::move(Source)});
+    R = std::move(Resp.Result);
+  } else {
+    R = driver::CompilationPipeline(Pipe).run(Source);
   }
-
-  driver::CompilationPipeline Pipeline(Pipe);
-  R = Pipeline.run(Source);
-  if (Opts.Timings) {
+  // A cache hit ran no stage, so there is nothing to time.
+  if (Opts.Timings && !Resp.CacheHit) {
     for (const driver::StageTiming &T : R.Stages)
       std::fprintf(stderr,
                    "spirec: %-15s %.3f s  %10lld allocs  %+8lld KiB peak "
@@ -772,9 +623,9 @@ int runCompilerModes(Options &Opts, driver::CompilationResult &R,
                    static_cast<long long>(R.QoptStats->MergedRotations),
                    static_cast<long long>(R.QoptStats->CancelPasses),
                    static_cast<long long>(R.QoptStats->WorklistVisits));
-    // The first ROADMAP item-2 counters: cache effectiveness and interner
-    // size, scraped from the metrics registry (zero hits/misses simply
-    // means no mode needed the cost model this run).
+    // Cache effectiveness and interner size, scraped from the metrics
+    // registry (zero hits/misses simply means no mode needed the cost
+    // model this run).
     auto &Reg = obs::Registry::global();
     std::fprintf(
         stderr, "spirec: costmodel profile cache: %lld hits, %lld misses\n",
@@ -790,6 +641,11 @@ int runCompilerModes(Options &Opts, driver::CompilationResult &R,
     std::fprintf(stderr, "spirec: error: compilation failed at the %s "
                          "stage\n",
                  driver::stageName(*R.Failed));
+    return 1;
+  }
+  // Out of memory or an internal error outside the pipeline's stages.
+  if (Opts.WantEmit && !Resp.OK && !R.LimitHit) {
+    std::fprintf(stderr, "spirec: error: %s\n", Resp.Error.c_str());
     return 1;
   }
 
@@ -846,17 +702,10 @@ int runCompilerModes(Options &Opts, driver::CompilationResult &R,
                 PR.count(analysis::Cleanness::Unknown));
     // Dirty inputs/memory/outputs are expected (they carry the result);
     // the obligation counts are what a lint user acts on.
-    size_t Obligated = 0, Proved = 0;
-    for (unsigned Q = 0; Q != C.NumQubits; ++Q) {
-      if (Q >= Spec.RequireClean.size() || !Spec.RequireClean[Q])
-        continue;
-      ++Obligated;
-      if (PR.WireExit[Q] == analysis::Cleanness::Clean)
-        ++Proved;
-    }
+    analysis::ObligationSummary O = analysis::summarizeObligations(Spec, PR);
     std::printf("analyze: %zu ancilla wires must return to |0>; "
                 "%zu proved clean\n",
-                Obligated, Proved);
+                O.Obligated, O.ProvedClean);
     std::printf("analyze: %zu gates: %zu statically dead, %zu outside "
                 "the affine (X/CNOT) fragment%s\n",
                 C.Gates.size(), PR.DeadGates.size(), PR.NonAffineGates,
@@ -891,19 +740,13 @@ int runCompilerModes(Options &Opts, driver::CompilationResult &R,
 
   // -- Emit the final circuit and check equivalence. -----------------------
   if (Opts.WantEmit) {
-    std::string Text = Pipeline.renderFinalCircuit(R);
-    // The writers stop growing the text when the governor's output cap
-    // trips; never ship the truncated artifact (main reports the limit).
-    if (auto *G = support::Governor::current(); G && G->exceeded()) {
-      R.LimitHit = G->limit();
+    // A budget tripped while rendering, or the cached artifact exceeds
+    // the output cap: never ship it. Resp.Error is the governor's report.
+    if (!Resp.OK) {
+      std::fprintf(stderr, "%s\n", Resp.Error.c_str());
       return 2;
     }
-    // Store before emitting: a crash during the final write still
-    // leaves the next run a warm entry. Store failures are absorbed by
-    // the cache (the artifact is already in hand).
-    if (CacheEligible)
-      Cache->store(Key.Hi, Key.Lo, Text);
-    writeOutput(Opts, Text);
+    writeOutput(Opts, Resp.Artifact);
   }
   if (!Opts.CheckEquivPath.empty()) {
     const circuit::Circuit *Final = R.finalCircuit();
@@ -917,7 +760,7 @@ int runCompilerModes(Options &Opts, driver::CompilationResult &R,
   return 0;
 }
 
-// -- Batch mode. -----------------------------------------------------------
+// -- Batch and serve requests. ----------------------------------------------
 
 /// One --batch entry's (or serve request's) outcome, for the summary
 /// lines and the spire-batch-v1 metrics report.
@@ -931,39 +774,22 @@ struct BatchOutcome {
   double Seconds = 0;
 };
 
-std::string firstLine(const std::string &Text) {
-  size_t NL = Text.find('\n');
-  return NL == std::string::npos ? Text : Text.substr(0, NL);
-}
-
-/// Input kind for a batch entry, by extension: .qc and .qasm/.qasm3 are
-/// circuits, everything else compiles as a Tower program.
-driver::InputKind batchInputKind(const std::string &Path,
-                                 interchange::Format &Format) {
-  size_t Dot = Path.rfind('.');
-  std::string Ext = Dot == std::string::npos ? "" : Path.substr(Dot + 1);
-  if (Ext == "qc") {
-    Format = interchange::Format::Qc;
-    return driver::InputKind::Circuit;
-  }
-  if (Ext == "qasm" || Ext == "qasm3") {
-    Format = interchange::Format::Qasm3;
-    return driver::InputKind::Circuit;
-  }
-  return driver::InputKind::Tower;
-}
-
-/// Builds the per-request pipeline configuration a batch entry or serve
-/// request compiles under: shared flags plus the input kind derived from
-/// the path's extension.
+/// Builds the pipeline configuration a batch entry or serve request
+/// compiles under: the shared flags plus the input kind given by the
+/// path's extension (.qc and .qasm/.qasm3 are circuits, everything else
+/// compiles as a Tower program).
 driver::PipelineOptions requestPipeOptions(const Options &Opts,
                                            const std::string &Path) {
   driver::PipelineOptions Pipe = Opts.Pipeline;
-  Pipe.Input = batchInputKind(Path, Pipe.InputFormat);
+  size_t Dot = Path.rfind('.');
+  std::string Ext = Dot == std::string::npos ? "" : Path.substr(Dot + 1);
+  if (Ext == "qc" || Ext == "qasm" || Ext == "qasm3") {
+    Pipe.Input = driver::InputKind::Circuit;
+    Pipe.InputFormat =
+        Ext == "qc" ? interchange::Format::Qc : interchange::Format::Qasm3;
+  }
   Pipe.AnalyzeCost = false;
   Pipe.BuildCircuit = true;
-  if (!Opts.CircuitOpt.empty())
-    Pipe.CircuitOpt = *circuitOptKind(Opts.CircuitOpt);
   return Pipe;
 }
 
@@ -977,37 +803,51 @@ bool transientFailure(const BatchOutcome &Out) {
          Out.Detail.rfind("read of ", 0) == 0;
 }
 
-/// Compiles one batch entry through the service (own governor + catch
-/// wall per attempt; per-input isolation is the contract serve mode
-/// inherits), retrying transient failures with exponential backoff.
-BatchOutcome runBatchEntry(const Options &Opts, const std::string &Path,
-                           driver::Service &Svc) {
+/// The request runner batch entries and serve requests share. Each
+/// attempt reads the input (the io/input fault site), compiles it
+/// through Service::handle, and writes the artifact atomically when the
+/// request names an output. Transient failures retry with exponential
+/// backoff up to --batch-retries times; serve mode never retries. The
+/// catch wall keeps every failure mode — unreadable input, compile
+/// error, tripped budget, unwritable output, injected fault, OOM —
+/// inside the request.
+BatchOutcome runRequest(const Options &Opts, driver::Service &Svc,
+                        const std::string &InPath, const std::string &OutPath,
+                        driver::PipelineOptions Pipe) {
   BatchOutcome Out;
-  Out.Path = Path;
+  Out.Path = InPath;
+  if (Pipe.Input == driver::InputKind::Tower && Pipe.Entry.empty()) {
+    // Permanent: no retry can supply the entry, which serve requests may
+    // also name on the request line.
+    Out.Detail = Opts.ServePath.empty() ? "--entry is required for Tower inputs"
+                                        : "entry is required for Tower inputs";
+    return Out;
+  }
   auto Start = std::chrono::steady_clock::now();
-  driver::PipelineOptions Pipe = requestPipeOptions(Opts, Path);
   int BackoffMs = 10;
   for (int Attempt = 1;; ++Attempt) {
+    Out = BatchOutcome();
+    Out.Path = InPath;
     Out.Attempts = Attempt;
-    Out.OK = false;
-    Out.Cached = false;
-    Out.Detail.clear();
-    Out.LimitHit.clear();
-    std::string Source, Error;
-    if (Pipe.Input == driver::InputKind::Tower && Pipe.Entry.empty()) {
-      Out.Detail = "--entry is required for Tower inputs";
-      break; // Permanent: no retry can supply the flag.
-    }
-    if (!support::readFile(Path, Source, Error, "io/input")) {
-      Out.Detail = Error;
-    } else {
-      driver::ServiceRequest Req{Pipe, std::move(Source)};
-      driver::ServiceResponse Resp = Svc.handle(Req);
-      Out.OK = Resp.OK;
-      Out.Cached = Resp.CacheHit;
-      Out.Detail = Resp.Error;
-      if (Resp.LimitHit)
-        Out.LimitHit = support::resourceLimitName(*Resp.LimitHit);
+    try {
+      std::string Source;
+      if (support::readFile(InPath, Source, Out.Detail, "io/input")) {
+        driver::ServiceResponse Resp = Svc.handle({Pipe, std::move(Source)});
+        Out.Cached = Resp.CacheHit;
+        if (Resp.Result.LimitHit)
+          Out.LimitHit = support::resourceLimitName(*Resp.Result.LimitHit);
+        Out.Detail = Resp.Error;
+        Out.OK = Resp.OK &&
+                 (OutPath.empty() ||
+                  support::writeFileAtomic(OutPath, Resp.Artifact, Out.Detail,
+                                           "write/output"));
+      }
+    } catch (const std::bad_alloc &) {
+      Out.OK = false;
+      Out.Detail = "out of memory";
+    } catch (const std::exception &E) {
+      Out.OK = false;
+      Out.Detail = std::string("internal error: ") + E.what();
     }
     if (Out.OK || Attempt > Opts.BatchRetries || !transientFailure(Out))
       break;
@@ -1022,38 +862,41 @@ BatchOutcome runBatchEntry(const Options &Opts, const std::string &Path,
   return Out;
 }
 
+/// The request-line reader batch lists and serve streams share: reads
+/// the next line that is neither blank nor a `#` comment into \p Line,
+/// trimmed. False at the end of the input.
+bool nextRequestLine(std::istream &In, std::string &Line) {
+  while (std::getline(In, Line)) {
+    size_t B = Line.find_first_not_of(" \t\r");
+    if (B == std::string::npos)
+      continue;
+    Line = Line.substr(B, Line.find_last_not_of(" \t\r") - B + 1);
+    if (Line[0] != '#')
+      return true;
+  }
+  return false;
+}
+
 /// Runs every input named in the --batch list. Returns the process exit
 /// code: 0 only when every input compiled.
 int runBatch(const Options &Opts, support::ArtifactCache *Cache,
              std::vector<BatchOutcome> &Outcomes) {
-  std::string ListText = readFileOrDie(Opts.BatchPath);
+  std::istringstream List(readFileOrDie(Opts.BatchPath));
   std::vector<std::string> Paths;
-  std::stringstream Lines(ListText);
-  std::string Line;
-  while (std::getline(Lines, Line)) {
-    size_t B = Line.find_first_not_of(" \t\r");
-    if (B == std::string::npos)
-      continue;
-    size_t E = Line.find_last_not_of(" \t\r");
-    Line = Line.substr(B, E - B + 1);
-    if (Line[0] == '#')
-      continue;
+  for (std::string Line; nextRequestLine(List, Line);)
     Paths.push_back(Line);
-  }
   if (Paths.empty())
     usageError("--batch list names no inputs");
 
   driver::Service Svc(Cache);
   size_t Succeeded = 0;
   for (const std::string &Path : Paths) {
-    BatchOutcome Out = runBatchEntry(Opts, Path, Svc);
+    BatchOutcome Out =
+        runRequest(Opts, Svc, Path, "", requestPipeOptions(Opts, Path));
     if (Out.OK) {
       ++Succeeded;
-      std::string Suffix;
-      if (Out.Cached)
-        Suffix = "cached, ";
       std::printf("spirec: batch: ok     %s (%s%.3f s", Path.c_str(),
-                  Suffix.c_str(), Out.Seconds);
+                  Out.Cached ? "cached, " : "", Out.Seconds);
       if (Out.Attempts > 1)
         std::printf(", %d attempts", Out.Attempts);
       std::printf(")\n");
@@ -1072,7 +915,7 @@ int runBatch(const Options &Opts, support::ArtifactCache *Cache,
 /// registry (which accumulates across entries). Serve mode reuses the
 /// schema with mode "serve" (requests as inputs).
 std::string renderBatchMetricsJson(const std::vector<BatchOutcome> &Outcomes,
-                                   const char *Mode = "batch") {
+                                   const char *Mode) {
   obs::publishProcessMetrics();
   size_t OK = 0;
   for (const BatchOutcome &O : Outcomes)
@@ -1108,74 +951,31 @@ std::string renderBatchMetricsJson(const std::vector<BatchOutcome> &Outcomes,
 
 // -- Serve mode. -----------------------------------------------------------
 
-/// Splits a request line on whitespace.
-std::vector<std::string> tokenize(const std::string &Line) {
-  std::vector<std::string> Toks;
-  std::stringstream Stream(Line);
-  std::string Tok;
-  while (Stream >> Tok)
-    Toks.push_back(Tok);
-  return Toks;
-}
-
-/// Handles one `compile <input> <output> [entry [size]]` request. Every
-/// failure mode — unreadable input, compile error, tripped budget,
-/// unwritable output, injected fault, OOM — stays inside the request.
-BatchOutcome runServeRequest(const Options &Opts, driver::Service &Svc,
-                             const std::vector<std::string> &Toks) {
+/// Runs one `compile <input> <output> [entry [size]]` request.
+BatchOutcome serveRequest(const Options &Opts, driver::Service &Svc,
+                          const std::string &Line) {
+  std::istringstream Stream(Line);
+  std::vector<std::string> Toks{std::istream_iterator<std::string>(Stream),
+                                std::istream_iterator<std::string>()};
   BatchOutcome Out;
   Out.Path = Toks.size() > 1 ? Toks[1] : "?";
-  auto Start = std::chrono::steady_clock::now();
-  try {
-    if (Toks.size() < 3 || Toks.size() > 5 || Toks[0] != "compile") {
-      Out.Detail = "bad request (want: compile <input> <output> "
-                   "[entry [size]] | shutdown)";
-    } else {
-      const std::string &InPath = Toks[1], &OutPath = Toks[2];
-      driver::PipelineOptions Pipe = requestPipeOptions(Opts, InPath);
-      if (Toks.size() >= 4)
-        Pipe.Entry = Toks[3];
-      if (Toks.size() >= 5) {
-        char *End = nullptr;
-        Pipe.Size = std::strtoll(Toks[4].c_str(), &End, 10);
-        if (!End || *End != '\0') {
-          Out.Detail = "bad size '" + Toks[4] + "'";
-          Out.Seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - Start)
-                            .count();
-          return Out;
-        }
-      }
-      std::string Source, Error;
-      if (Pipe.Input == driver::InputKind::Tower && Pipe.Entry.empty()) {
-        Out.Detail = "entry is required for Tower inputs";
-      } else if (!support::readFile(InPath, Source, Error, "io/input")) {
-        Out.Detail = Error;
-      } else {
-        driver::ServiceRequest Req{std::move(Pipe), std::move(Source)};
-        driver::ServiceResponse Resp = Svc.handle(Req);
-        Out.Cached = Resp.CacheHit;
-        if (Resp.LimitHit)
-          Out.LimitHit = support::resourceLimitName(*Resp.LimitHit);
-        if (!Resp.OK) {
-          Out.Detail = Resp.Error;
-        } else if (!support::writeFileAtomic(OutPath, Resp.Artifact, Error,
-                                             "write/output")) {
-          Out.Detail = Error;
-        } else {
-          Out.OK = true;
-        }
-      }
-    }
-  } catch (const std::bad_alloc &) {
-    Out.Detail = "out of memory";
-  } catch (const std::exception &E) {
-    Out.Detail = std::string("internal error: ") + E.what();
+  if (Toks.size() < 3 || Toks.size() > 5 || Toks[0] != "compile") {
+    Out.Detail = "bad request (want: compile <input> <output> "
+                 "[entry [size]] | shutdown)";
+    return Out;
   }
-  Out.Seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
-          .count();
-  return Out;
+  driver::PipelineOptions Pipe = requestPipeOptions(Opts, Toks[1]);
+  if (Toks.size() >= 4)
+    Pipe.Entry = Toks[3];
+  if (Toks.size() == 5) {
+    char *End = nullptr;
+    Pipe.Size = std::strtoll(Toks[4].c_str(), &End, 10);
+    if (*End != '\0') {
+      Out.Detail = "bad size '" + Toks[4] + "'";
+      return Out;
+    }
+  }
+  return runRequest(Opts, Svc, Toks[1], Toks[2], std::move(Pipe));
 }
 
 /// The long-lived request loop behind `--serve <fifo|file>`: reads one
@@ -1209,19 +1009,12 @@ int runServe(const Options &Opts, support::ArtifactCache *Cache,
       return 2;
     }
     std::string Line;
-    while (std::getline(In, Line)) {
-      size_t B = Line.find_first_not_of(" \t\r");
-      if (B == std::string::npos)
-        continue;
-      size_t E = Line.find_last_not_of(" \t\r");
-      Line = Line.substr(B, E - B + 1);
-      if (Line[0] == '#')
-        continue;
+    while (nextRequestLine(In, Line)) {
       if (Line == "shutdown") {
         Shutdown = true;
         break;
       }
-      BatchOutcome Out = runServeRequest(Opts, Svc, tokenize(Line));
+      BatchOutcome Out = serveRequest(Opts, Svc, Line);
       if (Out.OK) {
         ++Succeeded;
         std::printf("spirec: serve: ok     %s (%s, %.3f s)\n",
@@ -1346,13 +1139,10 @@ int main(int Argc, char **Argv) {
     }
     if (!Opts.MetricsJsonPath.empty()) {
       support::faultAlloc("write/metrics");
-      std::string Json;
-      if (!Opts.ServePath.empty())
-        Json = renderBatchMetricsJson(Batch, "serve");
-      else if (!Opts.BatchPath.empty())
-        Json = renderBatchMetricsJson(Batch);
-      else
-        Json = driver::renderMetricsJson(R);
+      std::string Json =
+          !Opts.ServePath.empty()   ? renderBatchMetricsJson(Batch, "serve")
+          : !Opts.BatchPath.empty() ? renderBatchMetricsJson(Batch, "batch")
+                                    : driver::renderMetricsJson(R);
       dumpArtifact(Opts.MetricsJsonPath, "write/metrics", Json + "\n");
     }
   } catch (const std::bad_alloc &) {
